@@ -9,7 +9,6 @@
 #include "fault/fault_injector.h"
 #include "phy/medium.h"
 #include "sim/simulator.h"
-#include "topo/conflict_graph.h"
 #include "topo/partition.h"
 #include "traffic/flow_stats.h"
 #include "traffic/udp_source.h"
@@ -70,8 +69,6 @@ struct Experiment::Impl {
   // One MAC entity per node (indexed by NodeId), owned by the stack.
   std::vector<mac::MacEntity*> macs;
   std::unique_ptr<SchemeStack> stack;
-
-  std::unique_ptr<topo::ConflictGraph> graph;
 
   std::vector<std::unique_ptr<traffic::UdpSource>> udp_sources;
   std::map<traffic::FlowId, std::unique_ptr<traffic::TcpSender>> tcp_senders;
@@ -157,10 +154,10 @@ struct Experiment::Impl {
     }
     return cfg.traffic.saturate_uplink || cfg.traffic.uplink_bps > 0.0;
   }
-  /// Directions the scheduled schemes must cover. TCP needs both (ACKs
-  /// travel the reverse path as regular data packets).
-  bool graph_downlink() const { return want_downlink() || tcp(); }
-  bool graph_uplink() const { return want_uplink() || tcp(); }
+  /// Link directions the traffic exercises. TCP needs both (ACKs travel
+  /// the reverse path as regular data packets).
+  bool link_downlink() const { return want_downlink() || tcp(); }
+  bool link_uplink() const { return want_uplink() || tcp(); }
 
   void deliver(const traffic::Packet& p, topo::NodeId at, TimeNs now) {
     if (at != p.dst) return;
@@ -332,7 +329,8 @@ struct Experiment::Impl {
                      },
                      topo,
                      cfg,
-                     *graph,
+                     link_downlink(),
+                     link_uplink(),
                      root,
                      delivery_fn(),
                      (timeline || audited) ? &trace : nullptr,
@@ -353,17 +351,15 @@ struct Experiment::Impl {
             "dynamics: TCP traffic is not supported under a dynamic "
             "topology (TCP flows have fixed endpoints)");
       }
-      // prepare() runs before make_links / graph construction so the
-      // initial link set and conflict graph already exclude
+      // prepare() runs before make_links and the stack build so the
+      // initial link set and any stack's conflict graph already exclude
       // initially-absent clients and use floor-plan RSS for dynamic pairs.
       lifecycle = std::make_unique<LifecycleDriver>(
           sim, *owned_topo, cfg.dynamics, root.fork());
       lifecycle->prepare(cfg.duration);
     }
     build_flows();
-    const auto links = topo.make_links(graph_downlink(), graph_uplink());
-    graph = std::make_unique<topo::ConflictGraph>(
-        topo::ConflictGraph::build(topo, links));
+    const auto links = topo.make_links(link_downlink(), link_uplink());
 
     // The stack object is created (not yet built) before the kernel choice:
     // a stack that couples nodes outside the audible graph (Omniscient's
@@ -464,7 +460,6 @@ struct Experiment::Impl {
       for (std::size_t i = 0; i < n_auditors; ++i) {
         auditors.push_back(
             std::make_unique<audit::SimAuditor>(sim, topo, audit_mode, as));
-        auditors.back()->attach_graph(*graph);
       }
       if (partitioned) {
         for (std::uint32_t q = 0; q < parts.count; ++q) {
@@ -491,14 +486,11 @@ struct Experiment::Impl {
     if (lifecycle) {
       LifecycleDriver::Hooks h;
       h.refresh_medium = [this] { medium.on_topology_changed(); };
-      h.rebuild_graph = [this] {
-        // In-place rebuild: every holder of the graph reference (stack,
-        // auditors) sees the new links/edges; LinkIds change meaning, so
-        // the scheduling plane and the auditors reset their link-keyed
-        // state in the same synchronous event.
-        *graph = topo::ConflictGraph::build(
-            topo, topo.make_links(graph_downlink(), graph_uplink()));
-        stack->on_conflict_graph_rebuilt();
+      h.topology_changed = [this] {
+        // The stack rebuilds whatever conflict graph it plans over; LinkIds
+        // change meaning, so the auditors reset their link-keyed state in
+        // the same synchronous event.
+        stack->on_topology_changed();
         for (auto& a : auditors) a->on_schedule_reset();
       };
       h.try_attach = [this](topo::NodeId c, topo::NodeId to) {

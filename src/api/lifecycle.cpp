@@ -150,8 +150,8 @@ void LifecycleDriver::prepare(TimeNs duration) {
             });
 
   // Clients whose first event is a join start the run absent: inactive and
-  // radio-silent, so make_links / the conflict graph / the medium never see
-  // them until the join fires.
+  // radio-silent, so make_links / a stack's conflict graph / the medium
+  // never see them until the join fires.
   std::vector<char> seen(topo_.num_nodes(), 0);
   for (const CompiledEvent& e : events_) {
     if (seen[static_cast<std::size_t>(e.node)]) continue;
@@ -175,8 +175,8 @@ void LifecycleDriver::arm(Hooks hooks) {
     if (hooks_.detach) hooks_.detach(c);
     if (hooks_.lifecycle_note) hooks_.lifecycle_note(c, false, 0);
   }
-  if (!initially_absent_.empty() && hooks_.rebuild_graph) {
-    graph_dirty_ = true;
+  if (!initially_absent_.empty() && hooks_.topology_changed) {
+    topology_dirty_ = true;
     flush();
   }
 
@@ -215,7 +215,7 @@ void LifecycleDriver::epoch_tick(TimeNs now) {
     topo_.set_position(t.node, p);
     if (topo_.node_active(t.node)) {
       refresh_rows(t.node);
-      graph_dirty_ = true;  // conflict edges track the moving RSS
+      topology_dirty_ = true;  // conflict edges track the moving RSS
     }
   }
 
@@ -246,7 +246,7 @@ void LifecycleDriver::epoch_tick(TimeNs now) {
         if (hooks_.reassociated) hooks_.reassociated(c);
         ++counters_.roams;
         last_roam_[c] = now;
-        graph_dirty_ = true;
+        topology_dirty_ = true;
       } else {
         ++counters_.roam_rejections;
       }
@@ -271,7 +271,7 @@ void LifecycleDriver::handle_leave(topo::NodeId node, TimeNs now) {
   topo_.set_node_active(node, false);
   isolate_rows(node);
   if (hooks_.lifecycle_note) hooks_.lifecycle_note(node, false, now);
-  graph_dirty_ = true;
+  topology_dirty_ = true;
   flush();
 }
 
@@ -304,23 +304,23 @@ void LifecycleDriver::handle_join(topo::NodeId node, TimeNs now) {
   if (hooks_.lifecycle_note) hooks_.lifecycle_note(node, true, now);
   ++counters_.joins;
   last_roam_[node] = now;
-  graph_dirty_ = true;
+  topology_dirty_ = true;
   flush();
 }
 
 void LifecycleDriver::flush() {
   if (rss_dirty_ && hooks_.refresh_medium) hooks_.refresh_medium();
   rss_dirty_ = false;
-  if (graph_dirty_) {
+  if (topology_dirty_) {
     if (test_stale_roam_) {
       // Mutant keeps the stale scheduling plane (see epoch_tick); the
       // medium refresh above still happens — the defect under test is the
       // control plane, not the PHY.
-      graph_dirty_ = false;
+      topology_dirty_ = false;
       return;
     }
-    if (hooks_.rebuild_graph) hooks_.rebuild_graph();
-    graph_dirty_ = false;
+    if (hooks_.topology_changed) hooks_.topology_changed();
+    topology_dirty_ = false;
   }
 }
 

@@ -11,8 +11,8 @@
 // Event discipline: every handler runs as one synchronous simulator event —
 // it mutates the topology, re-registers clients through the scheme stack,
 // and only then flushes the PHY (phy::Medium::on_topology_changed) and the
-// scheduling plane (in-place conflict-graph rebuild + controller/auditor
-// resets) before returning to the event loop. No other event can observe a
+// scheduling plane (SchemeStack::on_topology_changed + auditor resets)
+// before returning to the event loop. No other event can observe a
 // half-applied epoch. Dynamics runs force the classic single-queue kernel
 // (api/experiment.cpp gates partitioning on !cfg.dynamics.any()), so this
 // also holds trivially at any DMN_SIM_THREADS.
@@ -48,7 +48,7 @@ class LifecycleDriver {
   /// admission control rejects the handoff.
   struct Hooks {
     std::function<void()> refresh_medium;
-    std::function<void()> rebuild_graph;
+    std::function<void()> topology_changed;
     std::function<bool(topo::NodeId client, topo::NodeId to)> try_attach;
     std::function<void(topo::NodeId client)> detach;
     std::function<void(topo::NodeId node, bool active, TimeNs now)>
@@ -61,11 +61,11 @@ class LifecycleDriver {
   LifecycleDriver(sim::Simulator& sim, topo::Topology& topo,
                   const topo::DynamicsPlan& plan, Rng rng);
 
-  /// Pre-build step (call BEFORE make_links / conflict-graph construction):
+  /// Pre-build step (call BEFORE make_links and the stack build):
   /// re-derives every pair involving a dynamic node from the floor-plan
   /// model at initial positions, compiles seeded churn into a concrete
   /// event list, and marks initially-absent clients inactive with isolated
-  /// RSS rows so the initial graph and MACs never see them.
+  /// RSS rows so the initial link set and MACs never see them.
   void prepare(TimeNs duration);
 
   /// Post-build step (call AFTER the stack and traffic are assembled):
@@ -83,8 +83,8 @@ class LifecycleDriver {
   /// driver "forgets" to detach the MAC or isolate the radio — the departed
   /// client keeps receiving, which the auditor's delivery-to-departed check
   /// must catch. Stale roam: a roam updates the topology association only,
-  /// skipping stack re-registration and the graph rebuild — the controller
-  /// keeps planning over the stale graph, which the auditor's
+  /// skipping stack re-registration and the topology_changed flush — the
+  /// controller keeps planning over its stale graph, which the auditor's
   /// stale-association check must catch.
   void set_test_ghost_radio(bool on) { test_ghost_radio_ = on; }
   void set_test_stale_roam(bool on) { test_stale_roam_ = on; }
@@ -130,7 +130,7 @@ class LifecycleDriver {
 
   LifecycleCounters counters_;
   bool rss_dirty_ = false;
-  bool graph_dirty_ = false;
+  bool topology_dirty_ = false;
   bool test_ghost_radio_ = false;
   bool test_stale_roam_ = false;
 };

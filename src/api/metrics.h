@@ -98,9 +98,9 @@ struct ExperimentResult {
   /// serialize_result — results must stay byte-stable across thread counts.
   std::uint64_t events_executed = 0;
   std::uint32_t sim_partitions = 1;
-  /// Wall-clock split of run(): substrate assembly (conflict graph, stacks,
-  /// traffic) vs the event loop itself — the denominator for kernel
-  /// events/sec comparisons (bench/bench_scale.cpp).
+  /// Wall-clock split of run(): substrate assembly (link set, stacks with
+  /// any conflict graph they build, traffic) vs the event loop itself — the
+  /// denominator for kernel events/sec comparisons (bench/bench_scale.cpp).
   double wall_setup_seconds = 0.0;
   double wall_run_seconds = 0.0;
   /// Partitioned-kernel telemetry (all zero on the classic kernel). Like

@@ -2,13 +2,15 @@
 // The scheme-plugin seam of the experiment layer.
 //
 // A SchemeStack owns everything specific to one channel-access scheme: the
-// per-node MAC entities, controllers, backbones and signature plans. The
-// Experiment facade owns the shared substrate (simulator, medium, topology,
-// conflict graph, traffic sources, flow stats) and hands it to the stack
-// through a StackContext. Stacks register themselves by name in the
-// SchemeStackRegistry, so adding a scheme (or an ablation variant of an
-// existing one) means adding one file under src/api/stacks/ and one
-// registration call — the facade, benches and tests need no changes.
+// per-node MAC entities, controllers, backbones, signature plans and, for
+// the schemes that plan schedules (DOMINO, Omniscient, CENTAUR), the
+// conflict graph they plan over. The Experiment facade owns the shared
+// substrate (simulator, medium, topology, traffic sources, flow stats) and
+// hands it to the stack through a StackContext. Stacks register themselves
+// by name in the SchemeStackRegistry, so adding a scheme (or an ablation
+// variant of an existing one) means adding one file under src/api/stacks/
+// and one registration call — the facade, benches and tests need no
+// changes.
 //
 //   class MyStack : public SchemeStack { ... };
 //   SchemeStackRegistry::instance().add("MY-SCHEME", [] {
@@ -23,7 +25,6 @@
 #include <vector>
 
 #include "mac/mac_common.h"
-#include "topo/conflict_graph.h"
 #include "topo/topology.h"
 #include "util/rng.h"
 
@@ -62,8 +63,11 @@ struct StackContext {
   std::function<phy::Medium&(topo::NodeId)> medium_of;
   const topo::Topology& topo;
   const ExperimentConfig& cfg;
-  /// Conflict graph over the directions the traffic spec exercises.
-  const topo::ConflictGraph& graph;
+  /// Link directions the traffic exercises (TCP: both, since ACKs travel
+  /// the reverse path as data). A stack that plans over a conflict graph
+  /// builds it itself over topo.make_links(downlink, uplink).
+  bool downlink = false;
+  bool uplink = false;
   Rng& rng;
   /// Invoked when a data packet is decoded at its MAC destination.
   mac::DeliveryFn deliver;
@@ -126,9 +130,10 @@ class SchemeStack {
   /// downlink packets for it are dropped or handed off by the stack.
   virtual void on_client_detach(topo::NodeId client) { (void)client; }
 
-  /// The facade rebuilt the shared conflict graph in place after a
-  /// topology change. Controllers caching LinkIds must refresh.
-  virtual void on_conflict_graph_rebuilt() {}
+  /// The topology changed (join, leave, roam or moving RSS) and the
+  /// previous event's re-registrations are done. Stacks holding a conflict
+  /// graph rebuild it and drop state keyed by its LinkIds.
+  virtual void on_topology_changed() {}
 };
 
 using SchemeStackFactory = std::function<std::unique_ptr<SchemeStack>()>;

@@ -41,17 +41,14 @@ void CentaurStack::build(StackContext& ctx,
 }
 
 bool CentaurStack::on_client_attach(topo::NodeId client, topo::NodeId to) {
-  const bool ok = dcf_.on_client_attach(client, to);
-  if (ok) controller_->request_graph_refresh();
-  return ok;
+  return dcf_.on_client_attach(client, to);
 }
 
 void CentaurStack::on_client_detach(topo::NodeId client) {
   dcf_.on_client_detach(client);
-  controller_->request_graph_refresh();
 }
 
-void CentaurStack::on_conflict_graph_rebuilt() {
+void CentaurStack::on_topology_changed() {
   controller_->request_graph_refresh();
 }
 

@@ -20,12 +20,13 @@ class CentaurStack : public SchemeStack {
   void build(StackContext& ctx, std::vector<mac::MacEntity*>& macs) override;
   void collect(ExperimentResult& result) const override;
 
-  /// Lifecycle: the DCF substrate moves the queues; the controller is
-  /// marked dirty and rebuilds its private downlink graph at the next
-  /// epoch barrier (mid-batch rebuild would invalidate in-flight LinkIds).
+  /// Lifecycle: the DCF substrate moves the queues; on_topology_changed
+  /// marks the controller dirty and it rebuilds its private downlink graph
+  /// at the next epoch barrier (mid-batch rebuild would invalidate
+  /// in-flight LinkIds).
   bool on_client_attach(topo::NodeId client, topo::NodeId to) override;
   void on_client_detach(topo::NodeId client) override;
-  void on_conflict_graph_rebuilt() override;
+  void on_topology_changed() override;
 
  private:
   DcfStack dcf_;

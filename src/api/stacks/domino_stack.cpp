@@ -33,8 +33,12 @@ void DominoStack::build(StackContext& ctx,
 
   domino::DominoParams domino_params = cfg.domino;
   domino_params.payload_bytes = cfg.traffic.packet_bytes;
+  downlink_ = ctx.downlink;
+  uplink_ = ctx.uplink;
+  graph_ =
+      topo::ConflictGraph::build(topo, topo.make_links(downlink_, uplink_));
   controller_ = std::make_unique<domino::DominoController>(
-      ctx.sim, *backbone_, topo, ctx.graph, *signatures_, domino_params,
+      ctx.sim, *backbone_, topo, graph_, *signatures_, domino_params,
       cfg.converter, timing.slot_duration(), timing.rop_duration(), cfg.rop,
       timing.rop_symbol);
   if (ctx.faults != nullptr) controller_->set_fault_injector(ctx.faults);
@@ -125,6 +129,9 @@ void DominoStack::build(StackContext& ctx,
       subchannel_of[a.client] = a.subchannel;
     }
     node->set_clients(std::move(infos));
+    if (mutation == audit::Mutation::kRopStarvedClient) {
+      node->set_test_skip_poll_guard(true);
+    }
     if (ctx.faults != nullptr) {
       node->set_faults(ctx.faults);
       node->set_clock_skew_ppm(ctx.faults->clock_skew_ppm(ap));
@@ -256,7 +263,6 @@ bool DominoStack::on_client_attach(topo::NodeId client, topo::NodeId to) {
     p.src = to;  // downlink source is now the new AP
     new_ap->enqueue(std::move(p));
   }
-  controller_->on_topology_changed();
   return true;
 }
 
@@ -266,10 +272,12 @@ void DominoStack::on_client_detach(topo::NodeId client) {
     (void)it->second->extract_queued_for(client);
     it->second->unregister_client(client);
   }
-  controller_->on_topology_changed();
 }
 
-void DominoStack::on_conflict_graph_rebuilt() {
+void DominoStack::on_topology_changed() {
+  // In place: the controller, converter and scheduler hold references.
+  graph_ = topo::ConflictGraph::build(*topo_,
+                                      topo_->make_links(downlink_, uplink_));
   controller_->on_topology_changed();
 }
 

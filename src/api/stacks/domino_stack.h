@@ -30,13 +30,18 @@ class DominoStack : public SchemeStack {
   /// roam-in only needs a least-loaded fallback subchannel, not an
   /// exclusive one. On success the old AP's downlink backlog and
   /// the client's uplink dedup filter move over (so a lost-ACK retransmit
-  /// stays deduplicated), and the controller forgets its per-link estimates.
+  /// stays deduplicated). The controller forgets its per-link estimates in
+  /// on_topology_changed, which the lifecycle driver calls in the same event.
   bool on_client_attach(topo::NodeId client, topo::NodeId to) override;
   void on_client_detach(topo::NodeId client) override;
-  void on_conflict_graph_rebuilt() override;
+  /// Rebuilds the conflict graph over the current link set and resets the
+  /// controller's LinkId-keyed state.
+  void on_topology_changed() override;
 
  private:
   std::unique_ptr<domino::SignaturePlan> signatures_;
+  /// The controller plans over this graph (the traffic's link directions).
+  topo::ConflictGraph graph_;
   std::unique_ptr<wired::Backbone> backbone_;
   std::unique_ptr<domino::DominoController> controller_;
   std::vector<std::unique_ptr<domino::DominoApMac>> aps_;
@@ -44,6 +49,8 @@ class DominoStack : public SchemeStack {
 
   // Lifecycle plumbing.
   const topo::Topology* topo_ = nullptr;
+  bool downlink_ = false;
+  bool uplink_ = false;
   rop::RopParams rop_;
   std::size_t num_subchannels_ = 0;
   std::map<topo::NodeId, domino::DominoApMac*> ap_map_;

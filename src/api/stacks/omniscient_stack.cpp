@@ -15,8 +15,10 @@ void OmniscientStack::build(StackContext& ctx,
     raw[static_cast<std::size_t>(n.id)] = node.get();
     nodes_.push_back(std::move(node));
   }
+  graph_ = topo::ConflictGraph::build(
+      ctx.topo, ctx.topo.make_links(ctx.downlink, ctx.uplink));
   scheduler_ = std::make_unique<omni::OmniscientScheduler>(
-      ctx.sim, ctx.medium, ctx.graph, ctx.cfg.wifi, std::move(raw));
+      ctx.sim, ctx.medium, graph_, ctx.cfg.wifi, std::move(raw));
   scheduler_->start(usec(100));
 }
 

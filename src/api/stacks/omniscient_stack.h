@@ -29,6 +29,7 @@ class OmniscientStack : public SchemeStack {
 
  private:
   std::vector<std::unique_ptr<omni::OmniNodeMac>> nodes_;
+  topo::ConflictGraph graph_;
   std::unique_ptr<omni::OmniscientScheduler> scheduler_;
 };
 

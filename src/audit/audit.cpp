@@ -349,15 +349,16 @@ void SimAuditor::on_medium_tx(const phy::Frame& frame, TimeNs /*start*/,
 // Converter: schedule invariants per planned batch
 // ---------------------------------------------------------------------------
 
-bool SimAuditor::aps_can_share_rop(topo::NodeId a, topo::NodeId b) const {
-  for (std::size_t i = 0; i < graph_->num_links(); ++i) {
-    const topo::Link& la = graph_->link(static_cast<topo::LinkId>(i));
+bool SimAuditor::aps_can_share_rop(const topo::ConflictGraph& graph,
+                                   topo::NodeId a, topo::NodeId b) {
+  for (std::size_t i = 0; i < graph.num_links(); ++i) {
+    const topo::Link& la = graph.link(static_cast<topo::LinkId>(i));
     if (la.sender != a && la.receiver != a) continue;
-    for (std::size_t j = 0; j < graph_->num_links(); ++j) {
-      const topo::Link& lb = graph_->link(static_cast<topo::LinkId>(j));
+    for (std::size_t j = 0; j < graph.num_links(); ++j) {
+      const topo::Link& lb = graph.link(static_cast<topo::LinkId>(j));
       if (lb.sender != b && lb.receiver != b) continue;
-      if (graph_->conflicts(static_cast<topo::LinkId>(i),
-                            static_cast<topo::LinkId>(j))) {
+      if (graph.conflicts(static_cast<topo::LinkId>(i),
+                          static_cast<topo::LinkId>(j))) {
         return false;
       }
     }
@@ -366,8 +367,8 @@ bool SimAuditor::aps_can_share_rop(topo::NodeId a, topo::NodeId b) const {
 }
 
 void SimAuditor::check_relative_slot(
-    const domino::RelSlot& slot, const std::vector<topo::LinkId>& strict_slot,
-    bool has_strict) {
+    const topo::ConflictGraph& graph, const domino::RelSlot& slot,
+    const std::vector<topo::LinkId>& strict_slot, bool has_strict) {
   ++report_->checks_run;
 
   // Real entries map back exactly to the strict slot (multiset equality);
@@ -422,8 +423,8 @@ void SimAuditor::check_relative_slot(
         continue;
       }
       const bool fake_pair = a.fake || b.fake;
-      const bool conflict = fake_pair ? graph_->data_conflicts(a.link, b.link)
-                                      : graph_->conflicts(a.link, b.link);
+      const bool conflict = fake_pair ? graph.data_conflicts(a.link, b.link)
+                                      : graph.conflicts(a.link, b.link);
       if (conflict) {
         std::ostringstream os;
         os << "slot " << slot.global_index << ": links " << a.link << " and "
@@ -437,7 +438,7 @@ void SimAuditor::check_relative_slot(
   // ROP sharing: co-polling APs must be pairwise conflict-free.
   for (std::size_t i = 0; i < slot.rop_aps.size(); ++i) {
     for (std::size_t j = i + 1; j < slot.rop_aps.size(); ++j) {
-      if (!aps_can_share_rop(slot.rop_aps[i], slot.rop_aps[j])) {
+      if (!aps_can_share_rop(graph, slot.rop_aps[i], slot.rop_aps[j])) {
         std::ostringstream os;
         os << "slot " << slot.global_index << ": APs " << slot.rop_aps[i]
            << " and " << slot.rop_aps[j]
@@ -454,13 +455,14 @@ void SimAuditor::check_relative_slot(
   }
 }
 
-void SimAuditor::check_boundary(const domino::RelSlot& from,
+void SimAuditor::check_boundary(const topo::ConflictGraph& graph,
+                                const domino::RelSlot& from,
                                 const domino::RelSlot& to) {
   ++report_->checks_run;
 
   std::vector<topo::NodeId> vias;
   for (const domino::SlotEntry& e : from.entries) {
-    const topo::Link& l = graph_->link(e.link);
+    const topo::Link& l = graph.link(e.link);
     vias.push_back(l.sender);
     vias.push_back(l.receiver);
   }
@@ -512,7 +514,7 @@ void SimAuditor::check_boundary(const domino::RelSlot& from,
     // this slot.
     bool is_next_sender = false;
     for (const domino::SlotEntry& e : to.entries) {
-      if (graph_->link(e.link).sender == t.target) {
+      if (graph.link(e.link).sender == t.target) {
         is_next_sender = true;
         break;
       }
@@ -549,11 +551,12 @@ void SimAuditor::check_boundary(const domino::RelSlot& from,
 }
 
 void SimAuditor::on_batch_planned(
+    const topo::ConflictGraph& graph,
     const std::vector<std::vector<topo::LinkId>>& strict,
     const domino::RelativeSchedule& rs,
     const std::vector<domino::SlotEntry>& prev_last,
     const std::vector<topo::NodeId>& rop_aps_needed) {
-  if (graph_ == nullptr || rs.slots.empty()) return;
+  if (rs.slots.empty()) return;
 
   // Strict slots are independent sets under the FULL conflict rule.
   ++report_->checks_run;
@@ -561,7 +564,7 @@ void SimAuditor::on_batch_planned(
     for (std::size_t i = 0; i < strict[s].size(); ++i) {
       for (std::size_t j = i + 1; j < strict[s].size(); ++j) {
         if (strict[s][i] == strict[s][j] ||
-            graph_->conflicts(strict[s][i], strict[s][j])) {
+            graph.conflicts(strict[s][i], strict[s][j])) {
           std::ostringstream os;
           os << "strict slot " << s << ": links " << strict[s][i] << " and "
              << strict[s][j] << " cannot share a slot";
@@ -621,16 +624,16 @@ void SimAuditor::on_batch_planned(
   // Per-slot entry invariants. rs.slots[1 + s] corresponds to strict[s];
   // the overlap slot has no strict counterpart.
   static const std::vector<topo::LinkId> kNoStrict;
-  check_relative_slot(overlap, kNoStrict, /*has_strict=*/false);
+  check_relative_slot(graph, overlap, kNoStrict, /*has_strict=*/false);
   for (std::size_t s = 0; s + 1 < rs.slots.size(); ++s) {
     const bool has_strict = s < strict.size();
-    check_relative_slot(rs.slots[s + 1],
+    check_relative_slot(graph, rs.slots[s + 1],
                         has_strict ? strict[s] : kNoStrict, has_strict);
   }
 
   // Trigger invariants per boundary.
   for (std::size_t i = 0; i + 1 < rs.slots.size(); ++i) {
-    check_boundary(rs.slots[i], rs.slots[i + 1]);
+    check_boundary(graph, rs.slots[i], rs.slots[i + 1]);
   }
 
   // ROP coverage: every AP that needed a poll got exactly one.
@@ -658,7 +661,7 @@ void SimAuditor::on_batch_planned(
   for (const domino::RelSlot& s : rs.slots) {
     for (const domino::SlotEntry& e : s.entries) {
       if (e.fake || e.link == topo::kNoLink) continue;
-      const topo::Link& l = graph_->link(e.link);
+      const topo::Link& l = graph.link(e.link);
       const bool down = topo_.node(l.sender).is_ap;
       const topo::NodeId ap = down ? l.sender : l.receiver;
       const topo::NodeId client = down ? l.receiver : l.sender;

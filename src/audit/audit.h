@@ -108,7 +108,8 @@ enum class Mutation {
   /// of its roster symbol, colliding with the symbol-0 group's subchannels.
   kRopCrossSymbolCollision,
   /// DominoController drops the highest-id client from every poll roster it
-  /// plans, so that client is never polled again.
+  /// plans, and APs air rosters without their poll-interval guard, so that
+  /// client is never polled again.
   kRopStarvedClient,
   /// DominoController spreads each roster one-client-per-symbol, blowing
   /// the round past the max_poll_symbols airtime budget.
@@ -199,7 +200,6 @@ class SimAuditor final : public phy::MediumObserver,
 
   // ---- wiring (facade / stacks) -------------------------------------------
   void attach_medium(phy::Medium& medium);
-  void attach_graph(const topo::ConflictGraph& graph) { graph_ = &graph; }
   /// The facade's NodeId-indexed MAC table (must outlive the auditor).
   void attach_macs(const std::vector<mac::MacEntity*>& macs) {
     macs_ = &macs;
@@ -212,6 +212,7 @@ class SimAuditor final : public phy::MediumObserver,
 
   // ---- domino::ScheduleObserver -------------------------------------------
   void on_batch_planned(
+      const topo::ConflictGraph& graph,
       const std::vector<std::vector<topo::LinkId>>& strict,
       const domino::RelativeSchedule& rs,
       const std::vector<domino::SlotEntry>& prev_last,
@@ -257,12 +258,14 @@ class SimAuditor final : public phy::MediumObserver,
   void check(bool ok, const char* invariant, const std::string& detail);
 
   void check_medium_sums();
-  void check_relative_slot(const domino::RelSlot& slot,
+  void check_relative_slot(const topo::ConflictGraph& graph,
+                           const domino::RelSlot& slot,
                            const std::vector<topo::LinkId>& strict_slot,
                            bool has_strict);
-  void check_boundary(const domino::RelSlot& from,
-                      const domino::RelSlot& to);
-  bool aps_can_share_rop(topo::NodeId a, topo::NodeId b) const;
+  void check_boundary(const topo::ConflictGraph& graph,
+                      const domino::RelSlot& from, const domino::RelSlot& to);
+  static bool aps_can_share_rop(const topo::ConflictGraph& graph,
+                                topo::NodeId a, topo::NodeId b);
   void prune_signature_ledger(TimeNs now);
 
   sim::Simulator& sim_;
@@ -272,7 +275,6 @@ class SimAuditor final : public phy::MediumObserver,
   std::shared_ptr<AuditReport> report_;
 
   phy::Medium* medium_ = nullptr;
-  const topo::ConflictGraph* graph_ = nullptr;
   const std::vector<mac::MacEntity*>* macs_ = nullptr;
 
   // Scratch for the from-scratch medium recompute (avoids per-check allocs).

@@ -164,7 +164,7 @@ void DominoController::plan_batch() {
       converter_.convert(strict, prev_last_, rop_aps, batches_,
                          next_global_slot_, rop_symbols);
   if (schedule_obs_ != nullptr) {
-    schedule_obs_->on_batch_planned(strict, rs, prev_last_, rop_aps);
+    schedule_obs_->on_batch_planned(graph_, strict, rs, prev_last_, rop_aps);
   }
   prev_last_ = rs.slots.back().entries;
   next_global_slot_ += rs.slots.size() - 1;  // overlap slot is shared

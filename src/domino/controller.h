@@ -47,16 +47,18 @@ struct ApReport {
   std::vector<ClientQueueReport> downlink;
 };
 
-/// Passive audit seam (src/audit): sees every planned batch — the strict
-/// schedule the RAND scheduler produced, the relative schedule converted
-/// from it, the previous batch's retained last slot and the APs that needed
-/// an ROP poll — before the controller advances its own batch state.
-/// Implementations must not mutate anything.
+/// Passive audit seam (src/audit): sees every planned batch — the conflict
+/// graph it was planned against, the strict schedule the RAND scheduler
+/// produced, the relative schedule converted from it, the previous batch's
+/// retained last slot and the APs that needed an ROP poll — before the
+/// controller advances its own batch state. Implementations must not mutate
+/// anything.
 class ScheduleObserver {
  public:
   virtual ~ScheduleObserver() = default;
 
   virtual void on_batch_planned(
+      const topo::ConflictGraph& graph,
       const std::vector<std::vector<topo::LinkId>>& strict,
       const RelativeSchedule& rs, const std::vector<SlotEntry>& prev_last,
       const std::vector<topo::NodeId>& rop_aps_needed) = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <cstdlib>
 
 #include "fault/fault_injector.h"
@@ -227,6 +226,7 @@ void DominoApMac::set_clients(std::vector<ClientInfo> clients) {
 void DominoApMac::register_client(const ClientInfo& info) {
   unregister_client(info.client);  // idempotent entry replacement
   clients_.push_back(info);
+  rosters_missed_[info.client] = 0;
 }
 
 void DominoApMac::unregister_client(topo::NodeId client) {
@@ -236,6 +236,7 @@ void DominoApMac::unregister_client(topo::NodeId client) {
       break;
     }
   }
+  rosters_missed_.erase(client);
   // seen_ is deliberately retained: a rejoining client may retransmit an
   // uplink packet whose ACK was lost before the leave, and erasing the
   // filter would let the AP deliver it a second time. The map is bounded by
@@ -336,26 +337,6 @@ void DominoApMac::receive_plan(const ApSchedule& plan) {
   for (const ApSchedule::RopBoundary& b : plan.rop_boundaries) {
     std::uint32_t& symbols = rop_boundaries_[b.slot];
     symbols = std::max(symbols, std::max<std::uint32_t>(b.symbols, 1));
-  }
-  if (std::getenv("DMN_PLAN_DEBUG")) {
-    for (const ApSlotPlan& pp : plan.slots) {
-      if (pp.polls_in_rop) {
-        const Row* row = nullptr;
-        const auto itr = rows_.find(pp.global_index);
-        if (itr != rows_.end()) row = &itr->second;
-        std::fprintf(stderr,
-                     "%10.1f PLAN ap=%d poll row g=%llu role=%d "
-                     "merged_role=%d merged_polls=%d executed=%d "
-                     "frontier=%llu\n",
-                     to_usec(sim_.now()), node(),
-                     static_cast<unsigned long long>(pp.global_index),
-                     static_cast<int>(pp.role),
-                     row ? static_cast<int>(row->plan.role) : -1,
-                     row ? (row->plan.polls_in_rop ? 1 : 0) : -1,
-                     row ? (row->executed ? 1 : 0) : -1,
-                     static_cast<unsigned long long>(frontier_));
-      }
-    }
   }
   if (!has_anchor()) {
     // First batch: no chain exists yet, so start strictly from the local
@@ -606,12 +587,6 @@ void DominoApMac::after_data_phase(const Row& row, TimeNs slot_t0,
 void DominoApMac::finish_slot(std::uint64_t g) {
   if (!powered_) return;
   Row* r = find_row(g);
-  if (std::getenv("DMN_PLAN_DEBUG") && r != nullptr && r->plan.polls_in_rop) {
-    std::fprintf(stderr, "%10.1f FINISH ap=%d g=%llu role=%d polls=%d\n",
-                 to_usec(sim_.now()), node(),
-                 static_cast<unsigned long long>(g),
-                 static_cast<int>(r->plan.role), 1);
-  }
   const TimeNs now = sim_.now();
   if (r != nullptr) {
     if (r->plan.polls_in_rop && r->plan.role != ApSlotPlan::Role::kNone) {
@@ -669,11 +644,6 @@ void DominoApMac::prune_tx_attempts() {
 }
 
 void DominoApMac::execute_poll(std::uint64_t g, TimeNs at) {
-  if (std::getenv("DMN_PLAN_DEBUG")) {
-    std::fprintf(stderr, "%10.1f POLLREQ ap=%d g=%llu at=%.1f\n",
-                 to_usec(sim_.now()), node(),
-                 static_cast<unsigned long long>(g), to_usec(at));
-  }
   sim_.post_at(std::max(at, sim_.now()), [this, g] {
     if (!powered_) return;
     if (radio_.transmitting()) {
@@ -694,6 +664,9 @@ void DominoApMac::execute_poll(std::uint64_t g, TimeNs at) {
       symbols = std::max<std::uint32_t>(r->plan.rop_symbols, 1);
       roster = r->plan.poll_roster;
     }
+    if (!roster.empty() && !test_skip_poll_guard_) {
+      seat_starved_clients(roster, symbols);
+    }
     phy::Frame poll;
     poll.type = phy::FrameType::kPoll;
     poll.dst = topo::kNoNode;  // broadcast to associated clients
@@ -708,6 +681,60 @@ void DominoApMac::execute_poll(std::uint64_t g, TimeNs at) {
     radio_.send(poll);
     sim_.post_in(response_window, [this, g] { evaluate_poll(g); });
   });
+}
+
+void DominoApMac::seat_starved_clients(
+    std::vector<phy::PollAssignment>& roster, std::uint32_t symbols) {
+  // The controller plans rosters, but only the AP sees which ones air: a
+  // poll row lost with a broken chain never does, and rows planned before a
+  // join lack the joiner. So the AP keeps the planner's contract (every
+  // client polled once per max interval, plus one round of grace) itself:
+  // a client that sat out that many rosters takes a free cell, else the
+  // cell of a departed client, else that of the client polled most
+  // recently. Rosters that already keep the bound air unchanged.
+  const unsigned limit =
+      1u + (rop_params_.poll_mode == rop::PollMode::kAdaptive
+                ? static_cast<unsigned>(rop_params_.adaptive_max_interval)
+                : 1u);
+  const std::size_t per = rop_params_.num_subchannels;
+  auto missed = [this](topo::NodeId c) -> long {
+    const auto it = rosters_missed_.find(c);
+    return it == rosters_missed_.end() ? -1 : static_cast<long>(it->second);
+  };
+  auto seated = [&roster](topo::NodeId c) {
+    return std::any_of(
+        roster.begin(), roster.end(),
+        [c](const phy::PollAssignment& a) { return a.client == c; });
+  };
+  for (const ClientInfo& ci : clients_) {
+    if (missed(ci.client) < limit || seated(ci.client)) continue;
+    std::vector<bool> used(symbols * per, false);
+    for (const phy::PollAssignment& a : roster) {
+      if (a.symbol < symbols && a.subchannel < per) {
+        used[a.symbol * per + a.subchannel] = true;
+      }
+    }
+    const auto free_cell = std::find(used.begin(), used.end(), false);
+    if (free_cell != used.end()) {
+      const auto i = static_cast<std::uint32_t>(free_cell - used.begin());
+      roster.push_back({ci.client, static_cast<std::uint32_t>(i % per),
+                        static_cast<std::uint32_t>(i / per)});
+      continue;
+    }
+    const auto victim = std::min_element(
+        roster.begin(), roster.end(),
+        [&missed](const phy::PollAssignment& a,
+                  const phy::PollAssignment& b) {
+          return missed(a.client) < missed(b.client);
+        });
+    if (victim != roster.end() && missed(victim->client) < limit) {
+      victim->client = ci.client;
+    }
+  }
+  for (const ClientInfo& ci : clients_) {
+    unsigned& n = rosters_missed_[ci.client];
+    n = seated(ci.client) ? 0 : n + 1;
+  }
 }
 
 void DominoApMac::evaluate_poll(std::uint64_t /*g*/) {
@@ -938,17 +965,6 @@ void DominoClientMac::on_anchor_moved() {
 
 void DominoClientMac::schedule_data_tx(std::uint64_t tag, TimeNs at) {
   if (tag <= last_tx_tag_ && last_tx_tag_ != 0) return;  // stale trigger
-  // Clients snap to their anchored slot lattice too: when the passively
-  // heard network lattice says this slot starts later than the in-band
-  // instruction implies, defer to the lattice. This is also how an AP that
-  // hears nobody re-synchronizes -- through the observed timing of its own
-  // client's transmissions.
-  if (std::getenv("DMN_CLIENT_SNAP") && has_anchor()) {
-    const TimeNs anchored = expected_start(tag);
-    if (anchored > at && anchored - at < 2 * timing_.slot_duration()) {
-      at = anchored;
-    }
-  }
   // Later triggers re-anchor a still-pending transmission ("last correctly
   // received trigger as time reference").
   if (tx_scheduled_) sim_.cancel(tx_event_);

@@ -328,6 +328,9 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
     const auto it = seen_.find(client);
     return it != seen_.end() && it->second.contains(id);
   }
+  /// audit::Mutation::kRopStarvedClient: air planned rosters as they are,
+  /// without seat_starved_clients, so a starving roster reaches the air.
+  void set_test_skip_poll_guard(bool on) { test_skip_poll_guard_ = on; }
 
   // MacEntity.
   bool enqueue(traffic::Packet p) override;
@@ -384,6 +387,10 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
   void after_data_phase(const Row& row, TimeNs slot_t0, bool uplink);
   void finish_slot(std::uint64_t g);
   void execute_poll(std::uint64_t g, TimeNs at);
+  /// Enforces the poll-interval bound on the roster about to go on the air
+  /// and advances every client's rosters_missed count.
+  void seat_starved_clients(std::vector<phy::PollAssignment>& roster,
+                            std::uint32_t symbols);
   void evaluate_poll(std::uint64_t g);
   void prune_executed(std::uint64_t upto);
 
@@ -393,6 +400,10 @@ class DominoApMac final : public DominoNodeBase, public mac::MacEntity {
   std::function<void(const ApReport&)> report_fn_;
 
   std::vector<ClientInfo> clients_;
+  /// Consecutive on-air poll rosters each registered client sat out since
+  /// its registration (multi-symbol modes; see seat_starved_clients).
+  std::map<topo::NodeId, unsigned> rosters_missed_;
+  bool test_skip_poll_guard_ = false;
   traffic::PacketQueue queue_;
   std::map<std::uint64_t, Row> rows_;
   /// Shared slot-lattice stretch: boundary slot -> poll symbols there.

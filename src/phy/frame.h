@@ -25,8 +25,6 @@ enum class FrameType {
 /// Number of FrameType values (flat per-type counter arrays index by this).
 inline constexpr std::size_t kFrameTypeCount = 6;
 
-const char* to_string(FrameType t);
-
 /// What a signature burst carries (kSignature frames only).
 struct SignatureBurst {
   /// Gold-code indices combined in this burst (node signatures).

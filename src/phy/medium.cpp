@@ -2,23 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
 #include "util/units.h"
-
-namespace {
-/// Frame-level trace for debugging, enabled with DMN_MEDIUM_TRACE=1.
-bool medium_trace_enabled() {
-  static const bool on = []() {
-    const char* v = std::getenv("DMN_MEDIUM_TRACE");
-    return v != nullptr && v[0] == '1';
-  }();
-  return on;
-}
-}  // namespace
 
 namespace dmn::phy {
 
@@ -226,13 +213,6 @@ void Medium::transmit(const Frame& frame) {
     }
   }
 
-  if (medium_trace_enabled()) {
-    std::fprintf(stderr, "%10.1f TX %-4s %d->%d tag=%llu dur=%.1f\n",
-                 to_usec(sim_.now()), to_string(frame.type), frame.src,
-                 frame.dst, static_cast<unsigned long long>(frame.slot_tag),
-                 to_usec(frame.duration));
-  }
-
   active_.push_back(slot);
   ++tx_count_[static_cast<std::size_t>(frame.src)];
   apply_tx_power(tx, +1.0);
@@ -266,12 +246,6 @@ void Medium::on_tx_end(std::uint32_t slot) {
     info.min_sinr_db = ratio_to_db(rx.rss_mw / (noise_mw_ + rx.max_intf_mw));
     info.half_duplex_loss = rx.half_duplex_loss;
     info.decoded = !rx.half_duplex_loss && info.min_sinr_db >= th;
-    if (medium_trace_enabled() && tx.frame.dst == rx.node && !info.decoded) {
-      std::fprintf(stderr, "%10.1f RXFAIL %-4s %d->%d sinr=%.1f hd=%d\n",
-                   to_usec(sim_.now()), to_string(tx.frame.type),
-                   tx.frame.src, tx.frame.dst, info.min_sinr_db,
-                   info.half_duplex_loss ? 1 : 0);
-    }
     // Clients may reentrantly transmit() from this callback; the slab is a
     // deque, so `tx` stays valid, and `slot` is not on the free list yet.
     client->on_frame_rx(tx.frame, info);

@@ -1,23 +1,14 @@
 #include "topo/conflict_graph.h"
 
 #include <algorithm>
-#include <cstdlib>
-
-namespace {
-/// Pairwise scheduling margin (dB): conflict graphs are pairwise but slots
-/// hold many concurrent links whose interference adds up; requiring each
-/// pair to clear the threshold with margin keeps the summed case feasible.
-double graph_margin_db() {
-  static const double v = []() {
-    const char* e = std::getenv("DMN_GRAPH_MARGIN");
-    return e != nullptr ? std::atof(e) : 3.0;
-  }();
-  return v;
-}
-}  // namespace
 
 namespace dmn::topo {
 namespace {
+
+/// Pairwise scheduling margin (dB): conflict graphs are pairwise but slots
+/// hold many concurrent links whose interference adds up; requiring each
+/// pair to clear the threshold with margin keeps the summed case feasible.
+constexpr double kGraphMarginDb = 3.0;
 
 /// SINR (dB) at `receiver` for a signal from `sender` with one interferer.
 double sinr_with_interferer(const Topology& topo, NodeId sender,
@@ -39,7 +30,7 @@ bool share_node(const Link& a, const Link& b) {
 bool links_conflict_data(const Topology& topo, const Link& a,
                          const Link& b) {
   if (share_node(a, b)) return true;
-  const double th = topo.thresholds().sinr_data_db + graph_margin_db();
+  const double th = topo.thresholds().sinr_data_db + kGraphMarginDb;
   return sinr_with_interferer(topo, a.sender, a.receiver, b.sender) < th ||
          sinr_with_interferer(topo, a.sender, a.receiver, b.receiver) < th ||
          sinr_with_interferer(topo, b.sender, b.receiver, a.sender) < th ||
@@ -56,7 +47,7 @@ bool links_conflict(const Topology& topo, const Link& a, const Link& b) {
   // is a superset of the relaxed one by construction.
   if (links_conflict_data(topo, a, b)) return true;
   const double ctrl_th =
-      topo.thresholds().sinr_control_db + graph_margin_db();
+      topo.thresholds().sinr_control_db + kGraphMarginDb;
   // ACK phase: scheduled transmissions share a fixed slot structure, so
   // data phases align with data phases and ACK phases with ACK phases —
   // the cross (ack-under-data) case never occurs in time. What must hold
